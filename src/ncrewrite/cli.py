@@ -87,9 +87,15 @@ def system_from_document(doc):
             or not all(isinstance(n, str) for n in names)):
         raise DocumentError("generators must be a nonempty list of names")
     names = tuple(names)
+    if not isinstance(doc["rules"], list):
+        raise DocumentError("rules must be a list of rule objects")
     rules = []
     try:
         for entry in doc["rules"]:
+            if not (isinstance(entry, dict) and isinstance(entry.get("lhs", ""), str)
+                    and isinstance(entry.get("rhs", ""), str)):
+                raise DocumentError(f"bad rule entry {entry!r}: "
+                                    f"must be an object with string lhs and rhs")
             lhs = parse_word(entry["lhs"], names)
             rhs = parse_poly(entry["rhs"], names, field)
             rules.append(Rule(lhs, rhs))
@@ -108,19 +114,28 @@ def _certificate_from_document(cdoc, names):
     if not isinstance(cdoc, dict) or len(cdoc) != 1:
         raise DocumentError('certificate must be {"deglex": ...} or {"measure": ...}')
     kind, body = next(iter(cdoc.items()))
+    if kind == "deglex" and body is None:
+        body = {}
+    if not isinstance(body, dict):
+        raise DocumentError(f"{kind} certificate body must be an object, got {body!r}")
     index_of = {n: i for i, n in enumerate(names)}
     if kind == "deglex":
-        body = body or {}
         weights = [1] * len(names)
-        for name, w in (body.get("weights") or {}).items():
+        given = {} if body.get("weights") is None else body["weights"]
+        if not isinstance(given, dict):
+            raise DocumentError(f"deglex weights must be an object, got {given!r}")
+        for name, w in given.items():
             if name not in index_of:
                 raise DocumentError(f"weight for unknown generator {name!r}")
             weights[index_of[name]] = w
         precedence = None
         if body.get("order") is not None:
             listed = body["order"]
-            if sorted(listed) != sorted(names):
-                raise DocumentError("order must list every generator exactly once")
+            if (not isinstance(listed, list)
+                    or not all(isinstance(n, str) for n in listed)
+                    or sorted(listed) != sorted(names)):
+                raise DocumentError("order must be a list naming every generator "
+                                    f"exactly once, got {listed!r}")
             precedence = tuple(index_of[n] for n in listed)
         try:
             return DeglexOrder(len(names), tuple(weights), precedence)

@@ -86,13 +86,51 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2017); larger moduli are refused.  Bases up to 37 alone are
+# fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality for 0 <= n < MAX_MODULUS."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """Integers modulo a prime p.  Coefficients are ints in ``range(p)``."""
+    """Integers modulo a prime p.  Coefficients are ints in ``range(p)``.
+
+    The modulus must be below :data:`MAX_MODULUS`, where primality is
+    decided exactly.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus {p} is too large: primality is decided "
+                             f"exactly only below {MAX_MODULUS}")
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 

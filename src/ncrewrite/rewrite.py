@@ -24,6 +24,7 @@ cross-check clever verdicts: it explores *every* reduction sequence from
 a monomial and returns the set of distinct irreducible results.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,6 +189,15 @@ def is_irreducible(system, g):
     return not any(system.contains_lhs(m) for m in g.terms)
 
 
+class _Largest(tuple):
+    """A heap entry that heapq pops largest first: heapq is a min-heap."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return tuple.__gt__(self, other)
+
+
 def normal_form(system, g, certificate, max_steps=DEFAULT_FUSE):
     """Reduce g to a normal form under the deterministic strategy.
 
@@ -195,6 +205,16 @@ def normal_form(system, g, certificate, max_steps=DEFAULT_FUSE):
     have checked; an uncertified one trips ReductionError on the first
     non-decreasing step or, at worst, the step fuse).  Returns
     ``(normal_form, trace)``.
+
+    The terms are copied once and rewritten in place.  The reducible
+    words wait in a max-heap keyed by ``(certificate key, len, word)``;
+    every rhs word is certified smaller than its host, so popping the
+    heap yields the host a full rescan would pick.  A step costs one lhs
+    search in its host, one certificate key per new word (cached for the
+    call), and O(log q) heap work for each of its rhs words that becomes
+    reducible, q being the number of queued words.  It never visits the
+    other terms.  Words whose term cancelled stay queued and are skipped
+    when popped.
     """
     cert_key = {}
 
@@ -206,18 +226,21 @@ def normal_form(system, g, certificate, max_steps=DEFAULT_FUSE):
 
     rules = system.rules
     lhss = [r.lhs for r in rules]
+    field = g.field
+    add, mul, zero = field.add, field.mul, field.zero
+    terms = dict(g.terms)
+    heap = [_Largest((ck(m), len(m), m))
+            for m in terms if any(l in m for l in lhss)]
+    heapq.heapify(heap)
+    # every word ever pushed: a popped word never comes back, because all
+    # later hosts, and so all words pushed after it, are smaller
+    queued = {entry[2] for entry in heap}
     steps = []
-    cur = g
-    while True:
-        best = None
-        best_key = None
-        for m in cur.terms:
-            if any(l in m for l in lhss):
-                k = (ck(m), len(m), m)
-                if best is None or k > best_key:
-                    best, best_key = m, k
-        if best is None:
-            break
+    while heap:
+        best = heapq.heappop(heap)[2]
+        c = terms.pop(best, None)
+        if c is None:
+            continue
         if len(steps) >= max_steps:
             raise FuseExceeded(
                 f"no normal form within {max_steps} steps; "
@@ -225,17 +248,28 @@ def normal_form(system, g, certificate, max_steps=DEFAULT_FUSE):
         for rule_index, rule in enumerate(rules):
             at = best.find(rule.lhs)
             if at != -1:
-                occ = Occurrence(best[:at], rule.lhs, best[at + len(rule.lhs):])
                 break
+        a, b = best[:at], best[at + len(rule.lhs):]
+        occ = Occurrence(a, rule.lhs, b)
+        images = [(a + w + b, d) for w, d in rule.rhs.terms.items()]
         host_ck = ck(best)
-        for w in rule.rhs.terms:
-            if not ck(occ.prefix + w + occ.suffix) < host_ck:
+        for u, _ in images:
+            if not ck(u) < host_ck:
                 raise ReductionError(
                     f"certificate does not decrease across rule {rule_index} "
                     f"at {occ!r}; it cannot be Certified")
-        steps.append(TraceStep(rule_index, occ, cur.terms[best]))
-        cur = basic_reduction(cur, rule, occ)
-    return cur, ReductionTrace(input=g, output=cur, steps=tuple(steps))
+        steps.append(TraceStep(rule_index, occ, c))
+        for u, d in images:
+            s = add(terms.get(u, zero), mul(c, d))
+            if s:
+                terms[u] = s
+                if u not in queued and any(l in u for l in lhss):
+                    queued.add(u)
+                    heapq.heappush(heap, _Largest((ck(u), len(u), u)))
+            elif u in terms:
+                del terms[u]
+    out = Poly._raw(field, terms)
+    return out, ReductionTrace(input=g, output=out, steps=tuple(steps))
 
 
 def irreducible_words(system, max_length):

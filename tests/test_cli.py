@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -271,6 +272,48 @@ def test_input_errors_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT, argv
         assert err.startswith("error: ")
+
+
+def test_mistyped_documents_exit_2(tmp_path, capsys):
+    rule = XYZ_DOC["rules"][0]
+    docs = [
+        dict(XYZ_DOC, rules=[dict(rule, rhs=3)]),
+        dict(XYZ_DOC, rules=[dict(rule, lhs=["x", "y", "z"])]),
+        dict(XYZ_DOC, rules=["x*y*z -> x^3"]),
+        dict(XYZ_DOC, rules={"x*y*z": "x^3"}),
+        dict(XYZ_DOC, certificate={"measure": [1]}),
+        dict(XYZ_DOC, certificate={"measure": "x*y*z"}),
+        dict(XYZ_DOC, certificate={"deglex": ["z", "y", "x"]}),
+        dict(XYZ_DOC, certificate={"deglex": {"weights": [1, 1, 1]}}),
+    ]
+    for i, doc in enumerate(docs):
+        code, out, err = run(capsys, "certify", write_doc(tmp_path, doc, f"{i}.json"))
+        assert (code, out) == (EXIT_INPUT, ""), doc
+        assert err.startswith("error: "), doc
+
+
+def test_deglex_order_must_be_a_list(tmp_path, capsys):
+    doc = dict(XCUBED_DOC, certificate={"deglex": {"order": "zyx"}})
+    code, _, err = run(capsys, "certify", write_doc(tmp_path, doc))
+    assert code == EXIT_INPUT
+    assert "order must be a list" in err
+    doc = dict(XCUBED_DOC, certificate={"deglex": {"order": ["z", "y", "x"]}})
+    assert run(capsys, "certify", write_doc(tmp_path, doc, "list.json"))[0] == EXIT_OK
+
+
+def test_large_prime_moduli(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify",
+                       write_doc(tmp_path, dict(XYZ_DOC, field="F2305843009213693951")))
+    assert (code, out) == (EXIT_OK, "Certified\n")
+    assert time.perf_counter() - start < 1.0
+    composite = (2 ** 31 - 1) * 1073741827           # two primes near 2^31, 2^30
+    too_large = 2 ** 89 - 1                           # prime, past the exact range
+    for p in (composite, too_large):
+        code, _, err = run(capsys, "certify",
+                           write_doc(tmp_path, dict(XYZ_DOC, field=f"F{p}"), f"{p}.json"))
+        assert code == EXIT_INPUT
+        assert err.startswith("error: modulus")
 
 
 def test_chains_refuse_nonminimal_system(tmp_path, capsys):

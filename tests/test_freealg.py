@@ -1,6 +1,7 @@
 """Words, coefficients, polynomials, parsing: the ground layer."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,18 @@ def test_prime_field_rejects_composite_modulus():
     for n in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError):
             PrimeField(n)
+
+
+def test_prime_field_large_moduli():
+    start = time.perf_counter()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+    for n in ((2 ** 31 - 1) * 1073741827,           # composite of the same size
+              318665857834031151167461):            # fools Miller-Rabin bases 2..37
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_prime_field_invert_zero():

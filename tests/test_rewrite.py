@@ -1,14 +1,16 @@
 """Reductions, normal forms, and the exhaustive reduction-graph oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ncrewrite import (
-    QQ, DeglexOrder, FuseExceeded, Occurrence, Poly, PrimeField,
-    ReductionError, Rule, System, basic_reduction, distinct_normal_forms,
-    irreducible_words, is_irreducible, iter_words, linear_uniqueness_oracle,
-    normal_form, oracle_sweep, parse_poly, print_poly, reduction_graph_oracle,
+    QQ, DeglexOrder, FuseExceeded, MeasureCertificate, Occurrence, Poly,
+    PrimeField, ReductionError, Rule, System, TraceStep, basic_reduction,
+    certify_measure, distinct_normal_forms, irreducible_words, is_irreducible,
+    iter_words, linear_uniqueness_oracle, normal_form, oracle_sweep,
+    parse_poly, print_poly, reduction_graph_oracle,
 )
 
 from conftest import (
@@ -108,6 +110,91 @@ def test_normal_form_rejects_nondecreasing_certificate():
     s = System.from_strings(("x", "y"), [("x*y", "y*x"), ("y*x", "x*y")], QQ)
     with pytest.raises(ReductionError):
         normal_form(s, Poly.term(QQ, "\x00\x01"), DeglexOrder(2))
+
+
+def _rescan_normal_form(system, g, certificate):
+    """Reference strategy: rescan every term and copy g on every step.
+
+    Also counts the steps whose largest certificate key is shared by
+    several reducible terms, and the words that cancel and come back.
+    """
+    lhss = system.lhs_words
+    key = lambda m: (certificate.sort_key(m), len(m), m)
+    steps, ties, returns, cancelled = [], 0, 0, set()
+    while True:
+        reducible = [m for m in g.terms if any(l in m for l in lhss)]
+        if not reducible:
+            return g, tuple(steps), ties, returns
+        best = max(reducible, key=key)
+        top = key(best)[0]
+        ties += sum(certificate.sort_key(m) == top for m in reducible) > 1
+        i, rule = next((i, r) for i, r in enumerate(system.rules) if r.lhs in best)
+        at = best.find(rule.lhs)
+        occ = Occurrence(best[:at], rule.lhs, best[at + len(rule.lhs):])
+        steps.append(TraceStep(i, occ, g.terms[best]))
+        h = basic_reduction(g, rule, occ)
+        returns += len(cancelled & h.terms.keys())
+        cancelled |= g.terms.keys() - h.terms.keys() - {best}
+        g = h
+
+
+def _random_reducing_system(rng, field, kind):
+    """Up to three rules with multi-term rhs, certified by construction.
+
+    Deglex draws a random weighted order and smaller rhs words.  Measure
+    counts every lhs and one letter, and drops the rhs words (or rules)
+    that its certification rejects.
+    """
+    ngen = rng.choice([2, 3])
+    lhss = list(dict.fromkeys(
+        "".join(chr(rng.randrange(ngen)) for _ in range(rng.choice([2, 3])))
+        for _ in range(rng.choice([1, 2, 3]))))
+    coeffs = [field.from_fraction(q) for q in (1, -1, 2, Fraction(-1, 2))]
+    short = [w for w in iter_words(ngen, 3) if w not in lhss]
+    if kind == "deglex":
+        cert = DeglexOrder(ngen, [rng.choice([1, 1, 2]) for _ in range(ngen)],
+                           rng.sample(range(ngen), ngen))
+        short = [w for w in short if cert.sort_key(w) < min(map(cert.sort_key, lhss))]
+    else:
+        cert = MeasureCertificate({**{l: 2 for l in lhss}, chr(rng.randrange(ngen)): 1})
+    rhs = {l: dict.fromkeys(rng.sample(short, min(len(short), rng.choice([2, 3, 4]))))
+           for l in lhss}
+    while True:
+        rules = [Rule(l, Poly(field, {w: rng.choice(coeffs) for w in rhs[l]}))
+                 for l in lhss if l in rhs]
+        system = System(NAMES[:ngen], tuple(rules), field)
+        witnesses = () if kind == "deglex" else certify_measure(system, cert).witnesses
+        if not witnesses:
+            return system, cert
+        for wit in witnesses:
+            del rhs[rules[wit.rule_index].lhs][wit.word]
+        if not all(rhs.values()):
+            del rhs[next(l for l, words in rhs.items() if not words)]
+
+
+def test_normal_form_matches_the_rescan_strategy():
+    rng = random.Random(24)
+    ties = returns = multi = 0
+    for trial in range(160):
+        field = (QQ, PrimeField(101))[trial % 2]
+        kind = ("deglex", "measure")[trial // 2 % 2]
+        system, cert = _random_reducing_system(rng, field, kind)
+        n = len(system.alphabet)
+        coeffs = [field.from_fraction(q) for q in (1, -1, 3)]
+        g = Poly(field, {"".join(chr(rng.randrange(n)) for _ in range(rng.randint(3, 6))):
+                         rng.choice(coeffs) for _ in range(rng.randint(4, 12))})
+        expected, steps, t, r = _rescan_normal_form(system, g, cert)
+        nf, trace = normal_form(system, g, cert)
+        assert nf == expected
+        assert trace.steps == steps
+        assert trace.verify(system)
+        if steps:
+            with pytest.raises(FuseExceeded):
+                normal_form(system, g, cert, max_steps=len(steps) - 1)
+        ties += t if kind == "measure" else 0
+        returns += r
+        multi += any(len(rule.rhs.terms) > 1 for rule in system.rules)
+    assert ties > 50 and returns > 20 and multi > 100
 
 
 # -- irreducible words ------------------------------------------------------
