@@ -35,9 +35,9 @@ words as a graded derivation (Koszul signs by accumulated degree).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .freealg import print_order_key, print_word
+from .rewrite import DEFAULT_FUSE, FuseExceeded
 
 __all__ = [
     "Chain", "ChainPoly", "DSquaredReport",
@@ -68,7 +68,6 @@ def _structure_error(word, a, b):
         f"this contradicts uniqueness of chain decompositions")
 
 
-@lru_cache(maxsize=128)
 def _chain_table(system, max_degree, max_length):
     """dict word -> Chain for all chains within the bounds."""
     if not system.minimal:
@@ -118,7 +117,10 @@ def anick_chains(system, max_degree, max_length):
 
     Sorted by degree, then display order of the word.
     """
-    table = _chain_table(system, max_degree, max_length)
+    return _sorted_chains(_chain_table(system, max_degree, max_length))
+
+
+def _sorted_chains(table):
     return sorted(table.values(),
                   key=lambda c: (c.degree, print_order_key(c.word)))
 
@@ -215,15 +217,15 @@ def _fine_expansion(table, dtable, parts, coeff):
     return out
 
 
-def _solve_signs(cuts, columns):
+def _solve_signs(cuts, columns, rows):
     """A +-1 kernel vector of the cut/boundary matrix, canonically chosen.
 
-    columns[j] maps fine tensors to the boundary of cuts[j] taken with
-    coefficient +1.  Scans sign assignments for the free columns of the
-    reduced matrix and returns the first vector whose entries all lie in
-    {+1, -1}, global sign normalized on the first cut.
+    columns[j] maps fine tensors (the keys listed in rows) to the
+    boundary of cuts[j] taken with coefficient +1.  Scans sign
+    assignments for the free columns of the reduced matrix and returns
+    the first vector whose entries all lie in {+1, -1}, global sign
+    normalized on the first cut.
     """
-    rows = sorted({key for col in columns for key in col})
     matrix = [[Fraction(col.get(key, 0)) for col in columns] for key in rows]
     n = len(columns)
     pivots = []
@@ -264,16 +266,18 @@ def _solve_signs(cuts, columns):
         f"this contradicts the existence of the minimal model")
 
 
-@lru_cache(maxsize=128)
-def _differential_table(system, max_degree, max_length):
+def _differential_table(system, table, fuse=DEFAULT_FUSE):
     """dict chain word -> dict cut tuple -> +-1, solved degree by degree.
 
-    The result for a given chain does not depend on the bounds: both the
-    cut set and the lower differentials it consults are determined by
-    the chain alone once the bounds cover it.
+    Built once per request, for every chain of the request's chain
+    table.  The result for a given chain does not depend on the bounds:
+    both the cut set and the lower differentials it consults are
+    determined by the chain alone once the bounds cover it.  Each sign
+    system costs rows x cuts matrix cells; FuseExceeded once their sum
+    passes ``fuse``.
     """
-    table = _chain_table(system, max_degree, max_length)
     dtable = {}
+    cells = 0
     for chain in sorted(table.values(), key=lambda c: (c.degree, len(c.word))):
         if chain.degree == 0:
             dtable[chain.word] = {}
@@ -287,7 +291,13 @@ def _differential_table(system, max_degree, max_length):
             dtable[chain.word] = {cuts[0]: 1}
             continue
         columns = [_fine_expansion(table, dtable, parts, 1) for parts in cuts]
-        signs = _solve_signs(cuts, columns)
+        rows = sorted({key for col in columns for key in col})
+        cells += len(rows) * len(cuts)
+        if cells > fuse:
+            raise FuseExceeded(
+                f"chain differential budget {fuse} exhausted: {cells} sign-matrix "
+                f"cells at chain {print_word(chain.word, system.alphabet)}")
+        signs = _solve_signs(cuts, columns, rows)
         dtable[chain.word] = dict(zip(cuts, signs))
     return dtable
 
@@ -299,10 +309,11 @@ def _as_chain_poly(field, terms):
 
 def chain_differential(system, chain):
     """The minimal-model differential of a chain, as a ChainPoly."""
-    table = _chain_table(system, len(chain.word), len(chain.word))
+    n = len(chain.word)
+    table = _chain_table(system, n, n)
     if table.get(chain.word) != chain:
         raise ValueError(f"{chain!r} is not a chain of this system")
-    dtable = _differential_table(system, len(chain.word), len(chain.word))
+    dtable = _differential_table(system, table)
     return _as_chain_poly(system.field, dtable[chain.word])
 
 
@@ -333,24 +344,32 @@ class DSquaredReport:
     max_length: int
     checked: tuple
     violations: tuple      # (chain, nonzero d(d(chain))) pairs
+    differentials: tuple   # d(chain) as a ChainPoly, aligned with checked
 
     @property
     def ok(self):
         return not self.violations
 
 
-def verify_d_squared(system, max_degree, max_length):
+def verify_d_squared(system, max_degree, max_length, fuse=DEFAULT_FUSE):
+    """Check d(d(c)) == 0 on every chain within the bounds.
+
+    The chain table and the differential table are built once, for these
+    bounds; ``fuse`` bounds the sign solving (see _differential_table).
+    """
     table = _chain_table(system, max_degree, max_length)
-    dtable = _differential_table(system, max_degree, max_length)
-    checked = []
+    dtable = _differential_table(system, table, fuse)
+    checked = _sorted_chains(table)
+    differentials = []
     violations = []
-    for chain in anick_chains(system, max_degree, max_length):
+    for chain in checked:
         d1 = _as_chain_poly(system.field, dtable[chain.word])
         d2 = _derivation(system, table, dtable, d1)
-        checked.append(chain)
+        differentials.append(d1)
         if d2:
             violations.append((chain, d2))
-    return DSquaredReport(max_degree, max_length, tuple(checked), tuple(violations))
+    return DSquaredReport(max_degree, max_length, tuple(checked),
+                          tuple(violations), tuple(differentials))
 
 
 def print_chain_poly(poly, names):

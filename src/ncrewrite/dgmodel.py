@@ -22,8 +22,8 @@ u = u1*u2.  Indecomposable wedges of degree 2 are exactly the overlap
 and inclusion ambiguities, and :func:`ie_degree2_census` enumerates them
 for cross-checking against the string-matching census.
 
-Ranks come from sparse Gaussian elimination with exact field arithmetic
-(Fraction over Q, residues over F_p), sparsest-pivot first.
+Ranks come from sparse echelon reduction with exact field arithmetic
+(Fraction over Q, residues over F_p), pivoting on the largest index.
 """
 
 from dataclasses import dataclass
@@ -40,31 +40,29 @@ __all__ = [
 
 
 def exact_rank(columns, field):
-    """Rank of a sparse matrix given as a list of {row_index: coeff} columns."""
-    rows = [dict(c) for c in columns if c]
-    rank = 0
-    while rows:
-        at = min(range(len(rows)), key=lambda i: len(rows[i]))
-        piv = rows.pop(at)
-        rank += 1
-        col = min(piv)
-        inv = field.invert(piv[col])
-        sub, mul, zero = field.sub, field.mul, field.zero
-        still = []
-        for r in rows:
-            f = r.get(col)
-            if f:
-                f = mul(f, inv)
-                for c2, v in piv.items():
-                    nv = sub(r.get(c2, zero), mul(f, v))
-                    if nv:
-                        r[c2] = nv
-                    elif c2 in r:
-                        del r[c2]
-            if r:
-                still.append(r)
-        rows = still
-    return rank
+    """Rank of a sparse matrix given as a list of {row_index: coeff} columns.
+
+    Row indices only need to be comparable.  Each column is reduced
+    against the pivots found so far until its largest index is new.
+    """
+    sub, mul, zero = field.sub, field.mul, field.zero
+    pivots = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            top = max(col)
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = col
+                break
+            f = mul(col[top], field.invert(piv[top]))
+            for k, v in piv.items():
+                nv = sub(col.get(k, zero), mul(f, v))
+                if nv:
+                    col[k] = nv
+                else:
+                    col.pop(k, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +107,18 @@ def _apply_d(system, tokens, monomial):
 class _Block:
     """One grade (or length) slice of a truncated complex."""
 
-    __slots__ = ("bases", "columns")
+    __slots__ = ("bases", "columns", "ranks")
 
     def __init__(self):
         self.bases = {}     # degree -> sorted list of tensor words
         self.columns = {}   # degree -> list of {row_index: coeff} columns
+        self.ranks = {}     # degree -> rank of columns[degree], filled on demand
+
+    def rank(self, degree, field):
+        r = self.ranks.get(degree)
+        if r is None:
+            r = self.ranks[degree] = exact_rank(self.columns.get(degree, []), field)
+        return r
 
 
 @dataclass
@@ -256,17 +261,18 @@ def homology_ranks(complex_, key, degree):
     """(kernel dim, incoming boundary dim, homology dim) at one block and degree.
 
     Homology is exact when degree+1 is inside the truncation, otherwise
-    an upper bound flagged by ``truncated``.
+    an upper bound flagged by ``truncated``.  Each block ranks each of
+    its differentials at most once, however many degrees are asked for.
     """
     block = complex_.blocks.get(key)
     if block is None:
         raise ValueError(f"no block {key!r} within the truncation")
     field = complex_.system.field
     dim = len(block.bases.get(degree, []))
-    rank_out = exact_rank(block.columns.get(degree, []), field) if degree >= 1 else 0
+    rank_out = block.rank(degree, field) if degree >= 1 else 0
     kernel = dim - rank_out
     truncated = degree + 1 > complex_.max_degree
-    boundary = 0 if truncated else exact_rank(block.columns.get(degree + 1, []), field)
+    boundary = 0 if truncated else block.rank(degree + 1, field)
     return HomologyRanks(kernel, boundary, kernel - boundary, truncated)
 
 

@@ -25,10 +25,12 @@ a monomial and returns the set of distinct irreducible results.
 """
 
 import heapq
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .freealg import NAME_RE, Occurrence, Poly
+from .dgmodel import exact_rank
+from .freealg import NAME_RE, Occurrence, Poly, iter_words, parse_poly, parse_word
 
 __all__ = [
     "Rule", "System", "TraceStep", "ReductionTrace",
@@ -107,7 +109,6 @@ class System:
     @classmethod
     def from_strings(cls, names, rule_texts, field):
         """Build a system from (lhs_text, rhs_text) pairs; '0' rhs is fine."""
-        from .freealg import parse_poly, parse_word
         names = tuple(names)
         rules = []
         for lhs_text, rhs_text in rule_texts:
@@ -167,22 +168,26 @@ def basic_reduction(g, rule, occurrence):
     if occurrence.pattern != rule.lhs:
         raise ValueError("occurrence pattern does not match the rule lhs")
     host = occurrence.host
-    c = g.terms.get(host)
-    if not c:
+    if not g.terms.get(host):
         return g
-    field = g.field
-    add, mul, zero = field.add, field.mul, field.zero
-    out = dict(g.terms)
-    del out[host]
     a, b = occurrence.prefix, occurrence.suffix
-    for w, d in rule.rhs.terms.items():
-        u = a + w + b
+    images = [(a + w + b, d) for w, d in rule.rhs.terms.items()]
+    return Poly._raw(g.field, _reduct_terms(g.field, g.terms, host, images))
+
+
+def _reduct_terms(field, terms, host, images):
+    """A new term dict: the term c * host replaced by c * d * u for each
+    (u, d) in images."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = dict(terms)
+    c = out.pop(host)
+    for u, d in images:
         s = add(out.get(u, zero), mul(c, d))
         if s:
             out[u] = s
         elif u in out:
             del out[u]
-    return Poly._raw(field, out)
+    return out
 
 
 def is_irreducible(system, g):
@@ -295,20 +300,109 @@ def irreducible_words(system, max_length):
     return out
 
 
-def _one_step_reducts(system, g):
+def _reduction_sites(system, word):
+    """The images of every basic reduction of a word, one tuple of
+    (word, coefficient) pairs per site: rules in order, occurrences left
+    to right."""
+    sites = []
+    for rule in system.rules:
+        lhs = rule.lhs
+        at = word.find(lhs)
+        while at != -1:
+            a, b = word[:at], word[at + len(lhs):]
+            sites.append(tuple((a + w + b, d) for w, d in rule.rhs.terms.items()))
+            at = word.find(lhs, at + 1)
+    return sites
+
+
+def _one_step_reducts(system, terms, key, sites):
+    """Every one-step reduct of a polynomial, without repeats.
+
+    The polynomial comes as its term dict and its key
+    ``frozenset(terms.items())``; ``sites`` caches _reduction_sites per
+    word for the caller.  Returns ``(key, step)`` pairs in the order
+    terms (dict order), then rules, then occurrences left to right;
+    ``_reduct_terms(field, terms, *step)`` spells out the reduct.  A
+    reduct's key is its parent's with the changed items toggled, so the
+    unchanged terms are neither copied into a dict nor hashed again.
+    """
+    field = system.field
+    add, mul = field.add, field.mul
     outs = []
     seen = set()
-    for m in g.terms:
-        for rule in system.rules:
-            lhs = rule.lhs
-            at = m.find(lhs)
-            while at != -1:
-                h = basic_reduction(g, rule, Occurrence(m[:at], lhs, m[at + len(lhs):]))
-                if h not in seen:
-                    seen.add(h)
-                    outs.append(h)
-                at = m.find(lhs, at + 1)
+    for m, c in terms.items():
+        word_sites = sites.get(m)
+        if word_sites is None:
+            word_sites = sites[m] = _reduction_sites(system, m)
+        for images in word_sites:
+            toggled = [(m, c)]
+            for u, d in images:
+                old = terms.get(u)
+                if old is None:
+                    toggled.append((u, mul(c, d)))
+                else:
+                    toggled.append((u, old))
+                    s = add(old, mul(c, d))
+                    if s:
+                        toggled.append((u, s))
+            h = key.symmetric_difference(toggled)
+            if h not in seen:
+                seen.add(h)
+                outs.append((h, (m, images)))
     return outs
+
+
+def _graph_walk(system, word, max_states, memo, sites, stop_at_two=False):
+    """Normal forms of the word, by exhaustive walk of its reduction graph.
+
+    ``memo`` maps the key of every explored polynomial to the frozenset
+    of the keys of its normal forms, and ``sites`` maps words to their
+    _reduction_sites; both stay valid across calls.  With ``stop_at_two``
+    the walk returns the first normal-form set with two or more elements
+    that it meets: every normal form of a reachable polynomial is one of
+    the word's, so the word then has several and nothing further needs
+    exploring.
+    """
+    field = system.field
+    start_terms = {word: field.one}
+    start = frozenset(start_terms.items())
+    if start in memo:
+        return memo[start]
+    in_progress = set()
+    pending_reducts = {}
+    # entries (key, terms, step): the polynomial is terms reduced by step,
+    # or terms itself when step is None; terms None: its reducts are done
+    stack = [(start, start_terms, None)]
+    while stack:
+        g, terms, step = stack.pop()
+        if terms is None:
+            in_progress.discard(g)
+            merged = frozenset().union(*(memo[h] for h in pending_reducts.pop(g)))
+            memo[g] = merged
+            if stop_at_two and len(merged) > 1:
+                return merged
+            continue
+        if g in memo:
+            if stop_at_two and len(memo[g]) > 1:
+                return memo[g]
+            continue
+        if g in in_progress:
+            raise ReductionError("reduction cycle detected; the system cannot terminate")
+        if step is not None:
+            terms = _reduct_terms(field, terms, *step)
+        reducts = _one_step_reducts(system, terms, g, sites)
+        if not reducts:
+            memo[g] = frozenset([g])
+            continue
+        if len(memo) + len(in_progress) > max_states:
+            raise FuseExceeded(f"oracle state budget {max_states} exhausted")
+        in_progress.add(g)
+        pending_reducts[g] = [h for h, _ in reducts]
+        stack.append((g, None, None))
+        for h, h_step in reducts:
+            if h not in memo:
+                stack.append((h, terms, h_step))
+    return memo[start]
 
 
 def reduction_graph_oracle(system, word, max_states=200_000, cache=None):
@@ -324,80 +418,9 @@ def reduction_graph_oracle(system, word, max_states=200_000, cache=None):
     (FuseExceeded beyond, which also catches non-terminating inputs).
     """
     memo = cache if cache is not None else {}
-    start = Poly.term(system.field, word)
-    if start in memo:
-        return memo[start]
-    in_progress = set()
-    pending_reducts = {}
-    stack = [(start, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if expanded:
-            in_progress.discard(g)
-            memo[g] = frozenset().union(*(memo[h] for h in pending_reducts.pop(g)))
-            continue
-        if g in memo:
-            continue
-        if g in in_progress:
-            raise ReductionError("reduction cycle detected; the system cannot terminate")
-        reducts = _one_step_reducts(system, g)
-        if not reducts:
-            memo[g] = frozenset([g])
-            continue
-        if len(memo) + len(in_progress) > max_states:
-            raise FuseExceeded(f"oracle state budget {max_states} exhausted")
-        in_progress.add(g)
-        pending_reducts[g] = reducts
-        stack.append((g, True))
-        for h in reducts:
-            if h not in memo:
-                stack.append((h, False))
-    return memo[start]
-
-
-def _reachable_nonunique(system, word, max_states, memo):
-    """True iff some polynomial reachable from the word has >= 2 normal forms.
-
-    Same exhaustive walk as :func:`reduction_graph_oracle` but aborts the
-    moment any node's merged normal-form set reaches two elements: every
-    normal form of a reachable polynomial is a normal form of the start,
-    so the start word is then a witness and nothing further needs
-    exploring.  Completed ``memo`` entries stay valid for reuse.
-    """
-    start = Poly.term(system.field, word)
-    if start in memo:
-        return len(memo[start]) > 1
-    in_progress = set()
-    pending_reducts = {}
-    stack = [(start, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if expanded:
-            in_progress.discard(g)
-            merged = frozenset().union(*(memo[h] for h in pending_reducts.pop(g)))
-            memo[g] = merged
-            if len(merged) > 1:
-                return True
-            continue
-        if g in memo:
-            if len(memo[g]) > 1:
-                return True
-            continue
-        if g in in_progress:
-            raise ReductionError("reduction cycle detected; the system cannot terminate")
-        reducts = _one_step_reducts(system, g)
-        if not reducts:
-            memo[g] = frozenset([g])
-            continue
-        if len(memo) + len(in_progress) > max_states:
-            raise FuseExceeded(f"oracle state budget {max_states} exhausted")
-        in_progress.add(g)
-        pending_reducts[g] = reducts
-        stack.append((g, True))
-        for h in reducts:
-            if h not in memo:
-                stack.append((h, False))
-    return False
+    field = system.field
+    return frozenset(Poly._raw(field, dict(k))
+                     for k in _graph_walk(system, word, max_states, memo, {}))
 
 
 def _likely_witnesses(system):
@@ -440,96 +463,33 @@ def linear_uniqueness_oracle(system, max_length):
     the reduction machinery and the ambiguity calculus, and it stays
     cheap on inputs whose reduction graphs are astronomically large.
     """
-    from .freealg import iter_words
     for rule in system.rules:
         if any(len(m) != len(rule.lhs) for m in rule.rhs.terms):
             raise ValueError("linear uniqueness oracle needs a"
                              " length-homogeneous system")
-    nletters = len(system.alphabet)
-    two = getattr(system.field, "p", None) == 2
+    field = system.field
+    by_len = {}
+    for w in iter_words(len(system.alphabet), max_length):
+        by_len.setdefault(len(w), []).append(w)
     for d in range(1, max_length + 1):
-        words = [w for w in iter_words(nletters, d) if len(w) == d]
-        by_len = {}
-        for w in iter_words(nletters, d):
-            by_len.setdefault(len(w), []).append(w)
-        col = {w: i for i, w in enumerate(words)}
-        reducible_mask = 0
-        for w in words:
-            if system.contains_lhs(w):
-                reducible_mask |= 1 << col[w]
-        if not reducible_mask:
+        words = by_len.get(d, [])
+        irr = {w for w in words if not system.contains_lhs(w)}
+        if len(irr) == len(words):
             continue
         rows = []
         for rule in system.rules:
             gap = d - len(rule.lhs)
-            if gap < 0:
-                continue
             for la in range(gap + 1):
                 for a in by_len[la]:
                     for b in by_len[gap - la]:
-                        if two:
-                            row = 1 << col[a + rule.lhs + b]
-                            for m in rule.rhs.terms:
-                                row ^= 1 << col[a + m + b]
-                        else:
-                            row = {a + rule.lhs + b: system.field.one}
-                            for m, c in rule.rhs.terms.items():
-                                w = a + m + b
-                                v = system.field.sub(
-                                    row.get(w, system.field.zero), c)
-                                if v == system.field.zero:
-                                    row.pop(w, None)
-                                else:
-                                    row[w] = v
+                        row = {a + rule.lhs + b: field.one}
+                        row.update((a + m + b, field.neg(c))
+                                   for m, c in rule.rhs.terms.items())
                         rows.append(row)
-        if two:
-            if _f2_rank(rows) != _f2_rank([r & reducible_mask for r in rows]):
-                return False, d
-        else:
-            irr = {w for w in words if not system.contains_lhs(w)}
-            proj = [{w: c for w, c in r.items() if w not in irr} for r in rows]
-            if (_field_rank(system.field, rows)
-                    != _field_rank(system.field, proj)):
-                return False, d
+        proj = [{w: c for w, c in r.items() if w not in irr} for r in rows]
+        if exact_rank(rows, field) != exact_rank(proj, field):
+            return False, d
     return True, None
-
-
-def _f2_rank(rows):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        while row:
-            top = row.bit_length()
-            if top in pivots:
-                row ^= pivots[top]
-            else:
-                pivots[top] = row
-                rank += 1
-                break
-    return rank
-
-
-def _field_rank(field, rows):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            top = max(row)
-            if top in pivots:
-                prow = pivots[top]
-                c = field.mul(row[top], field.invert(prow[top]))
-                for w, v in prow.items():
-                    u = field.sub(row.get(w, field.zero), field.mul(c, v))
-                    if u == field.zero:
-                        row.pop(w, None)
-                    else:
-                        row[w] = u
-            else:
-                pivots[top] = row
-                rank += 1
-                break
-    return rank
 
 
 def distinct_normal_forms(system, word, tries=4, rng=None, max_steps=DEFAULT_FUSE):
@@ -542,23 +502,26 @@ def distinct_normal_forms(system, word, tries=4, rng=None, max_steps=DEFAULT_FUS
     proves nothing.  Cost is linear in the reduction length per pass,
     with none of the oracle's state-space blowup.
     """
-    import random
     if rng is None:
         rng = random.Random(0)
-    found = set()
+    field = system.field
+    sites = {}
+    found = {}
     for _ in range(max(1, tries)):
-        g = Poly.term(system.field, word)
+        terms = {word: field.one}
+        key = frozenset(terms.items())
         for _ in range(max_steps):
-            reducts = _one_step_reducts(system, g)
+            reducts = _one_step_reducts(system, terms, key, sites)
             if not reducts:
                 break
-            g = reducts[rng.randrange(len(reducts))]
+            key, step = reducts[rng.randrange(len(reducts))]
+            terms = _reduct_terms(field, terms, *step)
         else:
             raise FuseExceeded(f"step budget {max_steps} exhausted on {word!r}")
-        found.add(g)
+        found[key] = terms
         if len(found) > 1:
             break
-    return found
+    return {Poly._raw(field, terms) for terms in found.values()}
 
 
 def oracle_sweep(system, max_length, max_states=200_000, cache=None):
@@ -573,12 +536,10 @@ def oracle_sweep(system, max_length, max_states=200_000, cache=None):
     gets one last randomized screen before FuseExceeded propagates; the
     verdict itself never depends on any of this ordering.
     """
-    import random
-
-    from .freealg import iter_words
     if cache is None:
         cache = {}
     rng = random.Random(0)
+    sites = {}
     checked = 0
     seen = set()
     priority = [w for w in _likely_witnesses(system) if len(w) <= max_length]
@@ -593,7 +554,7 @@ def oracle_sweep(system, max_length, max_states=200_000, cache=None):
         if not system.contains_lhs(w):
             continue
         try:
-            nonunique = _reachable_nonunique(system, w, max_states, cache)
+            nonunique = len(_graph_walk(system, w, max_states, cache, sites, True)) > 1
         except FuseExceeded:
             if len(distinct_normal_forms(system, w, tries=32, rng=rng)) > 1:
                 return False, w, checked

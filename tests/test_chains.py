@@ -136,6 +136,24 @@ def test_d_squared_is_zero_on_random_minimal_systems():
     assert tested > 15
 
 
+def test_request_table_matches_per_chain_differentials():
+    # verify_d_squared solves every sign once, for the request's bounds;
+    # chain_differential solves them for the chain's own length
+    rng = random.Random(44)
+    tested = 0
+    for _ in range(30):
+        s = random_monomial_system(rng)
+        if not s.minimal:
+            continue
+        rep = verify_d_squared(s, 4, 9)
+        assert len(rep.differentials) == len(rep.checked)
+        assert rep.checked == tuple(anick_chains(s, 4, 9))
+        for chain, d in zip(rep.checked, rep.differentials):
+            assert d == chain_differential(s, chain), chain
+        tested += any(c.degree >= 3 for c in rep.checked)
+    assert tested > 5
+
+
 # -- the signed factorization identity --------------------------------------
 
 def signed_factorizations(system, u, by_word):

@@ -324,6 +324,34 @@ def test_chains_refuse_nonminimal_system(tmp_path, capsys):
     assert "minimal systems only" in err
 
 
+# the minimal system whose chain differentials grow fastest with the bounds
+CHAIN_BUDGET_DOC = {
+    "field": "Q",
+    "generators": ["x", "y"],
+    "rules": [{"lhs": "x^2", "rhs": "0"}, {"lhs": "y^3", "rhs": "0"},
+              {"lhs": "x*y*x*y", "rhs": "0"}],
+}
+
+
+def test_chains_honour_the_fuse(tmp_path, capsys):
+    # every sign matrix charges rows x cuts cells; 237 at the bounds
+    # the benchmark uses, 220 860 at degree 12 and length 40
+    path = write_doc(tmp_path, CHAIN_BUDGET_DOC)
+    bounds = ("--max-degree", "4", "--max-length", "8")
+    assert run(capsys, "chains", path, *bounds, "--fuse", "237")[0] == EXIT_OK
+    code, out, err = run(capsys, "chains", path, *bounds, "--fuse", "236")
+    assert code == EXIT_FUSE
+    assert out == ""
+    assert "budget 236 exhausted: 237 sign-matrix cells at chain x^2*y*x*y^4" in err
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chains", path, "--max-degree", "12",
+                         "--max-length", "40", "--fuse", "20000")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_FUSE
+    assert out == ""
+    assert "budget 20000 exhausted" in err
+
+
 def test_console_script(tmp_path):
     exe = shutil.which("ncrewrite")
     if exe is None:

@@ -86,6 +86,43 @@ def test_overlap_free_system_has_no_higher_homology():
             assert homology_ranks(cx, grade, degree).homology_dim == 0
 
 
+def test_each_block_differential_is_ranked_once(monkeypatch):
+    # homology at degree d ranks the differentials out of d and d+1, so
+    # asking for every degree would rank the inner ones twice
+    from ncrewrite import dgmodel
+    s = System.from_strings(("x", "y"), [("x*y*x", "0"), ("y^2", "0")], QQ)
+    rng = random.Random(31)
+    complexes = [build_shafarevich(s, 6, 3),
+                 build_shafarevich(random_f2_system(rng), 5, 3, monomial_only=False)]
+    for cx in complexes:
+        field = cx.system.field
+        expect = {}
+        for key, block in cx.blocks.items():
+            for degree in range(cx.max_degree + 1):
+                dim = len(block.bases[degree])
+                out = exact_rank(block.columns.get(degree, []), field)
+                into = exact_rank(block.columns.get(degree + 1, []), field)
+                truncated = degree == cx.max_degree
+                boundary = 0 if truncated else into
+                expect[key, degree] = HomologyRanks(
+                    dim - out, boundary, dim - out - boundary, truncated)
+        calls = {}
+
+        def counted(columns, field_):
+            calls[id(columns)] = calls.get(id(columns), 0) + 1
+            return exact_rank(columns, field_)
+
+        monkeypatch.setattr(dgmodel, "exact_rank", counted)
+        for key, degree in expect:
+            assert homology_ranks(cx, key, degree) == expect[key, degree]
+        monkeypatch.undo()
+        owned = {id(cols) for block in cx.blocks.values()
+                 for cols in block.columns.values()}
+        assert set(calls) <= owned
+        assert max(calls.values()) == 1
+        assert len(calls) == len(owned)
+
+
 def test_unknown_block_key_is_refused():
     cx = build_shafarevich(XCUBED, 3, 2)
     with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from ncrewrite import (
     parse_poly, print_poly, reduction_graph_oracle,
 )
 
+from ncrewrite.rewrite import _likely_witnesses
+
 from conftest import (
     F2, convergent_xyz_system, nonconvergent_xcubed_system, random_f2_system,
     xcubed_deglex, xyz_measure,
@@ -275,6 +277,147 @@ def test_distinct_normal_forms_is_a_subset_of_the_oracle():
         screen_hits += len(found) > 1
     assert nonconv > 5
     assert screen_hits >= nonconv - 2  # randomized, but reliably effective
+
+
+# -- the seed's Poly-keyed walk, kept as a reference ------------------------
+
+def ref_reducts(system, g):
+    outs, seen = [], set()
+    for m in g.terms:
+        for rule in system.rules:
+            at = m.find(rule.lhs)
+            while at != -1:
+                h = basic_reduction(
+                    g, rule, Occurrence(m[:at], rule.lhs, m[at + len(rule.lhs):]))
+                if h not in seen:
+                    seen.add(h)
+                    outs.append(h)
+                at = m.find(rule.lhs, at + 1)
+    return outs
+
+
+def ref_walk(system, word, max_states, memo, stop_at_two=False):
+    start = Poly.term(system.field, word)
+    if start in memo:
+        return memo[start]
+    in_progress, pending, stack = set(), {}, [(start, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            in_progress.discard(g)
+            memo[g] = frozenset().union(*(memo[h] for h in pending.pop(g)))
+            if stop_at_two and len(memo[g]) > 1:
+                return memo[g]
+            continue
+        if g in memo:
+            if stop_at_two and len(memo[g]) > 1:
+                return memo[g]
+            continue
+        if g in in_progress:
+            raise ReductionError("cycle")
+        reducts = ref_reducts(system, g)
+        if not reducts:
+            memo[g] = frozenset([g])
+            continue
+        if len(memo) + len(in_progress) > max_states:
+            raise FuseExceeded("budget")
+        in_progress.add(g)
+        pending[g] = reducts
+        stack.append((g, True))
+        stack.extend((h, False) for h in reducts if h not in memo)
+    return memo[start]
+
+
+def ref_screen(system, word, tries, rng):
+    found = set()
+    for _ in range(tries):
+        g = Poly.term(system.field, word)
+        while reducts := ref_reducts(system, g):
+            g = reducts[rng.randrange(len(reducts))]
+        found.add(g)
+        if len(found) > 1:
+            break
+    return found
+
+
+def ref_sweep(system, max_length, max_states, memo):
+    rng = random.Random(0)
+    priority = [w for w in _likely_witnesses(system) if len(w) <= max_length]
+    for n, w in enumerate(priority, 1):
+        if len(ref_screen(system, w, 4, rng)) > 1:
+            return False, w, n
+    checked, seen = 0, set()
+    for w in priority + list(iter_words(len(system.alphabet), max_length)):
+        if w in seen:
+            continue
+        seen.add(w)
+        checked += 1
+        if not system.contains_lhs(w):
+            continue
+        try:
+            nonunique = len(ref_walk(system, w, max_states, memo, True)) > 1
+        except FuseExceeded:
+            if len(ref_screen(system, w, 32, rng)) > 1:
+                return False, w, checked
+            raise
+        if nonunique:
+            return False, w, checked
+    return True, None, checked
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (FuseExceeded, ReductionError) as e:
+        return type(e)
+
+
+def q_coefficients(system, rng):
+    coeffs = (QQ.one, QQ.neg(QQ.one), Fraction(2), Fraction(-1, 2))
+    return System(system.alphabet, tuple(
+        Rule(r.lhs, Poly(QQ, {w: rng.choice(coeffs) for w in r.rhs.terms}))
+        for r in system.rules), QQ)
+
+
+def test_graph_walk_matches_the_poly_keyed_reference():
+    # same normal forms, state counts, fuse trips, random picks and
+    # sweep witnesses as the walk over Poly-keyed states
+    rng = random.Random(24)
+    systems = []
+    for _ in range(20):
+        s = random_f2_system(rng)
+        systems += [s, q_coefficients(s, rng)]
+    seen = {"trip": 0, "nonunique": 0, "unique": 0, "forms": 0}
+    for s in systems:
+        window = 2 * max(len(w) for w in s.lhs_words)
+        for budget in (40, 3000):
+            memo, ref_memo = {}, {}
+            got = outcome(oracle_sweep, s, window, budget, memo)
+            assert got == outcome(ref_sweep, s, window, budget, ref_memo)
+            assert len(memo) == len(ref_memo)
+            if got is FuseExceeded:
+                seen["trip"] += 1
+            else:
+                seen["unique" if got[0] else "nonunique"] += 1
+        words = _likely_witnesses(s) + [
+            "".join(chr(rng.randrange(len(s.alphabet))) for _ in range(window))
+            for _ in range(3)]
+        for budget in (40, 3000):
+            memo, ref_memo = {}, {}
+            for w in words:
+                got = outcome(reduction_graph_oracle, s, w, budget, memo)
+                assert got == outcome(ref_walk, s, w, budget, ref_memo)
+                assert len(memo) == len(ref_memo)
+                seen["forms"] += got is not FuseExceeded and len(got) > 1
+            for w in words[:3]:
+                pick, ref_pick = random.Random(budget), random.Random(budget)
+                assert (distinct_normal_forms(s, w, 8, pick)
+                        == ref_screen(s, w, 8, ref_pick))
+                assert pick.random() == ref_pick.random()
+    assert min(seen.values()) > 0, seen
+    cyclic = System.from_strings(("x", "y"), [("x*y", "y*x"), ("y*x", "x*y")], QQ)
+    assert outcome(reduction_graph_oracle, cyclic, "\x00\x01") is ReductionError
+    assert outcome(ref_walk, cyclic, "\x00\x01", 100, {}) is ReductionError
 
 
 # -- the linear uniqueness oracle -------------------------------------------
