@@ -9,13 +9,12 @@ the homological complexes that certify the census.
 
 from .freealg import (
     QQ, PrimeField, RationalField, ParseError, Poly, Occurrence,
-    occurrences, count_occurrences, concat, word_from_indices, word_indices,
-    iter_words, parse_poly, parse_word, print_poly, print_word,
-    poly_add, poly_scale, poly_mul_sandwich,
+    occurrences, count_occurrences, word_indices, iter_words,
+    parse_poly, parse_word, print_poly, print_word,
 )
 from .order import (
     DeglexOrder, MeasureCertificate, CertResult,
-    deglex_compare, certify_deglex, certify_measure,
+    certify_deglex, certify_measure,
 )
 from .rewrite import (
     Rule, System, ReductionTrace, TraceStep, FuseExceeded, ReductionError,
@@ -29,7 +28,7 @@ from .ambiguity import (
     mc_residual, complete,
 )
 from .chains import (
-    Chain, ChainPoly, DSquaredReport,
+    Chain, DSquaredReport,
     anick_chains, chain_structure, chain_differential, verify_d_squared,
     print_chain_poly,
 )

@@ -34,13 +34,13 @@ words as a graded derivation (Koszul signs by accumulated degree).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .freealg import print_order_key, print_word
+from .dgmodel import echelon
+from .freealg import QQ, Poly, print_order_key, print_terms, print_word
 from .rewrite import DEFAULT_FUSE, FuseExceeded
 
 __all__ = [
-    "Chain", "ChainPoly", "DSquaredReport",
+    "Chain", "DSquaredReport",
     "anick_chains", "chain_structure", "chain_differential",
     "verify_d_squared", "print_chain_poly",
 ]
@@ -134,57 +134,6 @@ def chain_structure(system, word):
     return None if c is None else (c.degree, c.tail)
 
 
-class ChainPoly:
-    """A linear combination of tensor words of chains, exact coefficients."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        self.field = field
-        self.terms = {t: c for t, c in items if c}
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed coefficient fields")
-        add, zero = self.field.add, self.field.zero
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = add(out.get(t, zero), c)
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        res = ChainPoly(self.field)
-        res.terms = out
-        return res
-
-    def scale(self, c):
-        res = ChainPoly(self.field)
-        mul = self.field.mul
-        res.terms = {t: mul(c, v) for t, v in self.terms.items()} if c else {}
-        return res
-
-    def __eq__(self, other):
-        return (isinstance(other, ChainPoly) and self.field == other.field
-                and self.terms == other.terms)
-
-    def sorted_terms(self):
-        def key(item):
-            parts = item[0]
-            return (sum(map(len, parts)), tuple(map(print_order_key, parts)))
-        return sorted(self.terms.items(), key=key, reverse=True)
-
-    def __repr__(self):
-        return f"ChainPoly({self.terms!r})"
-
-
 def _split_products(table, word, need):
     """All tuples of chain words concatenating to word, degrees summing to need."""
     if not word:
@@ -217,50 +166,37 @@ def _fine_expansion(table, dtable, parts, coeff):
     return out
 
 
-def _solve_signs(cuts, columns, rows):
+def _solve_signs(cuts, columns):
     """A +-1 kernel vector of the cut/boundary matrix, canonically chosen.
 
-    columns[j] maps fine tensors (the keys listed in rows) to the
-    boundary of cuts[j] taken with coefficient +1.  Scans sign
-    assignments for the free columns of the reduced matrix and returns
-    the first vector whose entries all lie in {+1, -1}, global sign
-    normalized on the first cut.
+    columns[j] maps fine tensors to the boundary of cuts[j] taken with
+    coefficient +1.  Column j also carries the history entry (0, j), a
+    key below every row key (1, tensor), so the echelon over Q records
+    each column's combination of the input columns.  A column whose row
+    part reduces to zero keeps its own history key on top: it is free,
+    and its history is the kernel vector e_j - sum c_i e_i over earlier
+    independent columns.  Scans sign assignments for the free columns
+    and returns the first combination whose entries all lie in {+1, -1},
+    global sign normalized on the first cut.
     """
-    matrix = [[Fraction(col.get(key, 0)) for col in columns] for key in rows]
-    n = len(columns)
-    pivots = []
-    rank = 0
-    for j in range(n):
-        pivot_row = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = 1 / matrix[rank][j]
-        matrix[rank] = [x * inv for x in matrix[rank]]
-        for i in range(len(matrix)):
-            if i != rank and matrix[i][j]:
-                f = matrix[i][j]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
-        pivots.append(j)
-        rank += 1
-    free = [j for j in range(n) if j not in pivots]
+    tagged = [{(1, key): c for key, c in col.items()} for col in columns]
+    for j, col in enumerate(tagged):
+        col[(0, j)] = 1
+    pivots = echelon(tagged, QQ)
+    free = sorted(top[1] for top in pivots if top[0] == 0)
     assert len(free) <= 16, (len(free), cuts)
+    kernel = [pivots[(0, j)].items() for j in free]
+    n = len(columns)
     for mask in range(1 << len(free)):
         alpha = [0] * n
-        for bit, j in enumerate(free):
-            alpha[j] = -1 if (mask >> (len(free) - 1 - bit)) & 1 else 1
-        ok = True
-        for row, j in enumerate(pivots):
-            value = -sum(matrix[row][k] * alpha[k] for k in free)
-            if value == 1 or value == -1:
-                alpha[j] = int(value)
-            else:
-                ok = False
-                break
-        if ok:
+        for bit, vector in enumerate(kernel):
+            flip = (mask >> (len(free) - 1 - bit)) & 1
+            for (_, i), c in vector:
+                alpha[i] += -c if flip else c
+        if all(a == 1 or a == -1 for a in alpha):
             if alpha[0] < 0:
                 alpha = [-a for a in alpha]
-            return alpha
+            return [int(a) for a in alpha]
     raise AssertionError(
         f"no square-zero sign assignment over the cut set {cuts}; "
         f"this contradicts the existence of the minimal model")
@@ -291,49 +227,30 @@ def _differential_table(system, table, fuse=DEFAULT_FUSE):
             dtable[chain.word] = {cuts[0]: 1}
             continue
         columns = [_fine_expansion(table, dtable, parts, 1) for parts in cuts]
-        rows = sorted({key for col in columns for key in col})
+        rows = {key for col in columns for key in col}
         cells += len(rows) * len(cuts)
         if cells > fuse:
             raise FuseExceeded(
                 f"chain differential budget {fuse} exhausted: {cells} sign-matrix "
                 f"cells at chain {print_word(chain.word, system.alphabet)}")
-        signs = _solve_signs(cuts, columns, rows)
+        signs = _solve_signs(cuts, columns)
         dtable[chain.word] = dict(zip(cuts, signs))
     return dtable
 
 
-def _as_chain_poly(field, terms):
-    one, minus = field.one, field.neg(field.one)
-    return ChainPoly(field, {t: one if c > 0 else minus for t, c in terms.items()})
+def _in_field(field, terms):
+    """The Poly over field of a dict tensor -> integer coefficient."""
+    return Poly(field, [(t, field.from_fraction(c)) for t, c in terms.items()])
 
 
 def chain_differential(system, chain):
-    """The minimal-model differential of a chain, as a ChainPoly."""
+    """The minimal-model differential of a chain, as a Poly over chain tensors."""
     n = len(chain.word)
     table = _chain_table(system, n, n)
     if table.get(chain.word) != chain:
         raise ValueError(f"{chain!r} is not a chain of this system")
     dtable = _differential_table(system, table)
-    return _as_chain_poly(system.field, dtable[chain.word])
-
-
-def _derivation(system, table, dtable, poly):
-    """Extend d to tensor words of chains as a graded derivation."""
-    field = system.field
-    out = ChainPoly(field)
-    for parts, coeff in poly.terms.items():
-        degree_before = 0
-        for i, part in enumerate(parts):
-            d_part = dtable[part]
-            if d_part:
-                sign_coeff = coeff if degree_before % 2 == 0 else field.neg(coeff)
-                spliced = ChainPoly(field, {
-                    parts[:i] + t + parts[i + 1:]:
-                        field.mul(sign_coeff, field.one if c > 0 else field.neg(field.one))
-                    for t, c in d_part.items()})
-                out = out + spliced
-            degree_before += table[part].degree
-    return out
+    return _in_field(system.field, dtable[chain.word])
 
 
 @dataclass(frozen=True)
@@ -344,7 +261,7 @@ class DSquaredReport:
     max_length: int
     checked: tuple
     violations: tuple      # (chain, nonzero d(d(chain))) pairs
-    differentials: tuple   # d(chain) as a ChainPoly, aligned with checked
+    differentials: tuple   # d(chain) as a Poly, aligned with checked
 
     @property
     def ok(self):
@@ -356,16 +273,24 @@ def verify_d_squared(system, max_degree, max_length, fuse=DEFAULT_FUSE):
 
     The chain table and the differential table are built once, for these
     bounds; ``fuse`` bounds the sign solving (see _differential_table).
+    d(d(c)) is recomputed from the cuts of c, each expanded once more by
+    the graded derivation and taken with its solved sign, so the check
+    does not rely on the elimination that found the signs.
     """
+    field = system.field
     table = _chain_table(system, max_degree, max_length)
     dtable = _differential_table(system, table, fuse)
     checked = _sorted_chains(table)
     differentials = []
     violations = []
     for chain in checked:
-        d1 = _as_chain_poly(system.field, dtable[chain.word])
-        d2 = _derivation(system, table, dtable, d1)
-        differentials.append(d1)
+        d1 = dtable[chain.word]
+        dd = {}
+        for parts, sign in d1.items():
+            for key, c in _fine_expansion(table, dtable, parts, sign).items():
+                dd[key] = dd.get(key, 0) + c
+        differentials.append(_in_field(field, d1))
+        d2 = _in_field(field, dd)
         if d2:
             violations.append((chain, d2))
     return DSquaredReport(max_degree, max_length, tuple(checked),
@@ -374,21 +299,8 @@ def verify_d_squared(system, max_degree, max_length, fuse=DEFAULT_FUSE):
 
 def print_chain_poly(poly, names):
     """Display with '|' separating tensor factors: 'x|x^3 - x^3|x'."""
-    if not poly.terms:
-        return "0"
-    from .freealg import RationalField
-    rational = isinstance(poly.field, RationalField)
-    pieces = []
-    for parts, c in poly.sorted_terms():
-        if rational and c < 0:
-            negative, mag = True, -c
-        else:
-            negative, mag = False, c
-        body = "|".join(print_word(p, names) for p in parts)
-        if mag != poly.field.one:
-            body = f"{poly.field.format_coeff(mag)}*{body}"
-        if not pieces:
-            pieces.append("-" + body if negative else body)
-        else:
-            pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+    def key(item):
+        parts = item[0]
+        return (sum(map(len, parts)), tuple(map(print_order_key, parts)))
+    return print_terms(poly.field, sorted(poly.terms.items(), key=key, reverse=True),
+                       lambda parts: "|".join(print_word(p, names) for p in parts))

@@ -30,7 +30,7 @@ import json
 import sys
 
 from .ambiguity import check_convergence, complete, find_inclusions, find_overlaps, mc_residual
-from .chains import anick_chains, print_chain_poly, verify_d_squared
+from .chains import print_chain_poly, verify_d_squared
 from .dgmodel import build_shafarevich, homology_ranks
 from .freealg import (ParseError, PrimeField, QQ, parse_poly, parse_word,
                       print_order_key, print_poly, print_word)
@@ -315,10 +315,10 @@ def cmd_chains(args):
     system, _ = system_from_document(load_document(args.document))
     names = list(system.alphabet)
     try:
-        chains = anick_chains(system, args.max_degree, args.max_length)
         report = verify_d_squared(system, args.max_degree, args.max_length, args.fuse)
     except ValueError as e:
         raise DocumentError(str(e))
+    chains = report.checked
     diffs = {c.word: print_chain_poly(d, names)
              for c, d in zip(report.checked, report.differentials)}
     payload = {"chains": [{"word": print_word(c.word, names), "degree": c.degree,

@@ -34,16 +34,22 @@ from .freealg import iter_words, occurrences
 
 __all__ = [
     "TruncatedComplex", "HomologyRanks", "GrassmannComponent", "CensusEntry",
-    "exact_rank", "build_shafarevich", "homology_ranks",
+    "exact_rank", "echelon", "build_shafarevich", "homology_ranks",
     "build_ie_component", "grassmann_homology", "ie_degree2_census",
 ]
 
 
 def exact_rank(columns, field):
-    """Rank of a sparse matrix given as a list of {row_index: coeff} columns.
+    """Rank of a sparse matrix given as a list of {row_index: coeff} columns."""
+    return len(echelon(columns, field))
+
+
+def echelon(columns, field):
+    """Echelon form of sparse {row_index: coeff} columns: dict top index -> column.
 
     Row indices only need to be comparable.  Each column is reduced
-    against the pivots found so far until its largest index is new.
+    against the pivots found so far until its largest index is new; a
+    column that reduces to zero is dropped.
     """
     sub, mul, zero = field.sub, field.mul, field.zero
     pivots = {}
@@ -62,7 +68,7 @@ def exact_rank(columns, field):
                     col[k] = nv
                 else:
                     col.pop(k, None)
-    return len(pivots)
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,9 @@ from typing import NamedTuple
 
 __all__ = [
     "QQ", "RationalField", "PrimeField", "ParseError",
-    "Occurrence", "occurrences", "count_occurrences", "concat",
-    "word_from_indices", "word_indices", "iter_words", "print_order_key",
-    "Poly", "poly_add", "poly_scale", "poly_mul_sandwich",
-    "parse_poly", "parse_word", "print_poly", "print_word",
+    "MAX_WORD_LENGTH", "Occurrence", "occurrences", "count_occurrences",
+    "word_indices", "iter_words", "print_order_key", "Poly",
+    "parse_poly", "parse_word", "print_poly", "print_terms", "print_word",
 ]
 
 
@@ -92,6 +91,12 @@ QQ = RationalField()
 # fooled by 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_MODULUS = 3317044064679887385961981
+
+# The parser refuses a monomial of more letters than this, counting
+# exponents: "x^N" is a few characters of text but N letters of memory.
+# An exponent past it is refused before its letters are built, so a
+# monomial never holds more than this many letters per factor.
+MAX_WORD_LENGTH = 1000
 
 
 def _is_prime(n):
@@ -187,18 +192,9 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # words
 
-def word_from_indices(indices):
-    """Build a word from an iterable of generator indices."""
-    return "".join(map(chr, indices))
-
-
 def word_indices(word):
     """The tuple of generator indices of a word."""
     return tuple(map(ord, word))
-
-
-def concat(u, v):
-    return u + v
 
 
 def print_order_key(word):
@@ -381,20 +377,8 @@ class Poly:
                       key=lambda wc: print_order_key(wc[0]), reverse=True)
 
     def __repr__(self):
-        body = ", ".join(f"{word_indices(w)}: {c}" for w, c in self.sorted_terms())
+        body = ", ".join(f"{w!r}: {c}" for w, c in self.sorted_terms())
         return f"Poly<{self.field.name}>({{{body}}})"
-
-
-def poly_add(p, q):
-    return p + q
-
-
-def poly_scale(c, p):
-    return p.scale(c)
-
-
-def poly_mul_sandwich(left, p, right):
-    return p.sandwich(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +454,18 @@ class _Parser:
             else:
                 # bare constant term
                 return "", self.field.from_fraction(sign * coeff)
+        start = self.pos
         word = [self.factor()]
         while self.peek()[:2] == ("op", "*"):
             self.take()
             word.append(self.factor())
+        word = "".join(word)
+        if len(word) > MAX_WORD_LENGTH:
+            raise ParseError(f"monomial at position {self.tokens[start][2]} has "
+                             f"{len(word)} letters, more than MAX_WORD_LENGTH = "
+                             f"{MAX_WORD_LENGTH}")
         q = Fraction(sign) if coeff is None else sign * coeff
-        return "".join(word), self.field.from_fraction(q)
+        return word, self.field.from_fraction(q)
 
     def number(self):
         num = int(self.take("int")[1])
@@ -500,6 +490,9 @@ class _Parser:
             exp = int(exp_tok[1])
             if exp < 1:
                 raise ParseError(f"exponent must be a positive integer, got {exp}")
+            if exp > MAX_WORD_LENGTH:
+                raise ParseError(f"exponent {exp} at position {exp_tok[2]} is more "
+                                 f"than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
             return letter * exp
         return letter
 
@@ -548,21 +541,31 @@ def print_poly(poly, names):
 
     Round-trips: parse_poly(print_poly(p, names), names, p.field) == p.
     """
-    if not poly.terms:
+    return print_terms(poly.field, poly.sorted_terms(),
+                       lambda w: print_word(w, names))
+
+
+def print_terms(field, items, print_monomial):
+    """Signed sum of (monomial, coefficient) items, listed in display order.
+
+    Over Q a negative coefficient becomes a minus sign; a coefficient 1
+    is left out, and an empty monomial prints as its coefficient.
+    """
+    if not items:
         return "0"
-    rational = isinstance(poly.field, RationalField)
+    rational = isinstance(field, RationalField)
     pieces = []
-    for w, c in poly.sorted_terms():
+    for m, c in items:
         if rational and c < 0:
             negative, mag = True, -c
         else:
             negative, mag = False, c
-        if not w:
-            body = poly.field.format_coeff(mag)
-        elif mag == poly.field.one:
-            body = print_word(w, names)
+        if not m:
+            body = field.format_coeff(mag)
+        elif mag == field.one:
+            body = print_monomial(m)
         else:
-            body = poly.field.format_coeff(mag) + "*" + print_word(w, names)
+            body = field.format_coeff(mag) + "*" + print_monomial(m)
         if not pieces:
             pieces.append("-" + body if negative else body)
         else:

@@ -34,7 +34,7 @@ from .freealg import count_occurrences, iter_words
 __all__ = [
     "DeglexOrder", "MeasureCertificate", "CertResult",
     "DeglexWitness", "MeasureWitness",
-    "deglex_compare", "certify_deglex", "certify_measure",
+    "certify_deglex", "certify_measure",
 ]
 
 
@@ -122,10 +122,6 @@ class DeglexOrder:
 
     def __repr__(self):
         return f"DeglexOrder({len(self.weights)}, {self.weights}, {self.precedence})"
-
-
-def deglex_compare(order, u, v):
-    return order.compare(u, v)
 
 
 class MeasureCertificate:

@@ -1,14 +1,16 @@
 """Chain enumeration and the squared-zero differential."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ncrewrite import (
-    QQ, Chain, ChainPoly, Poly, Rule, System, anick_chains,
+    QQ, Chain, Poly, PrimeField, Rule, System, anick_chains,
     chain_differential, chain_structure, iter_words, print_chain_poly,
     print_word, verify_d_squared, find_overlaps,
 )
+from ncrewrite import chains as chains_module
 
 from conftest import (
     nonconvergent_xcubed_system, one_rule_monomial, random_monomial_system,
@@ -195,11 +197,122 @@ def test_signed_factorization_identity():
     assert tested > 10
 
 
-# -- chain polynomials ------------------------------------------------------
+# -- the sign solver --------------------------------------------------------
 
-def test_chain_poly_arithmetic():
-    p = ChainPoly(QQ, [(("\x00",), QQ.one)])
-    assert (p + p).sorted_terms() == [(("\x00",), QQ.from_fraction(2))]
-    assert (p + p.scale(QQ.neg(QQ.one))).is_zero()
-    assert not ChainPoly(QQ)
-    assert p != ChainPoly(QQ, [(("\x00", "\x00"), QQ.one)])
+def dense_solve_signs(cuts, columns, rows):
+    """Reference sign solver: dense Gauss-Jordan over Fractions.
+
+    Reduces the rows x cuts matrix to reduced row echelon form, then scans
+    sign assignments of the free columns in mask order and returns the
+    first whose pivot entries all come out +-1, normalized on cut 0.
+    """
+    matrix = [[Fraction(col.get(key, 0)) for col in columns] for key in rows]
+    n = len(columns)
+    pivots = []
+    rank = 0
+    for j in range(n):
+        pivot_row = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        inv = 1 / matrix[rank][j]
+        matrix[rank] = [x * inv for x in matrix[rank]]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][j]:
+                f = matrix[i][j]
+                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
+        pivots.append(j)
+        rank += 1
+    free = [j for j in range(n) if j not in pivots]
+    for mask in range(1 << len(free)):
+        alpha = [0] * n
+        for bit, j in enumerate(free):
+            alpha[j] = -1 if (mask >> (len(free) - 1 - bit)) & 1 else 1
+        ok = True
+        for row, j in enumerate(pivots):
+            value = -sum(matrix[row][k] * alpha[k] for k in free)
+            if value == 1 or value == -1:
+                alpha[j] = int(value)
+            else:
+                ok = False
+                break
+        if ok:
+            if alpha[0] < 0:
+                alpha = [-a for a in alpha]
+            return alpha
+    raise AssertionError(f"no sign assignment over {cuts}")
+
+
+def test_echelon_signs_match_the_dense_solver(monkeypatch):
+    solve = chains_module._solve_signs
+    systems = []
+
+    def compare(cuts, columns):
+        signs = solve(cuts, columns)
+        rows = sorted({key for col in columns for key in col})
+        assert signs == dense_solve_signs(cuts, columns, rows), cuts
+        systems.append(len(cuts))
+        return signs
+
+    monkeypatch.setattr(chains_module, "_solve_signs", compare)
+    for k in range(2, 6):
+        assert verify_d_squared(one_rule_monomial("\x00" * k), 6, 14).ok
+    rng = random.Random(45)
+    for _ in range(40):
+        s = random_monomial_system(rng)
+        if s.minimal:
+            assert verify_d_squared(s, 6, 14).ok
+    assert len(systems) > 200 and max(systems) > 2
+
+    # every chain system above has one free column; these dependent
+    # random columns need the scan over several, or have no +-1 solution
+    def outcome(solve, *args):
+        try:
+            return solve(*args)
+        except AssertionError:
+            return None
+
+    rows = [(chr(i),) for i in range(4)]
+    solved = 0
+    for _ in range(400):
+        basis = [{r: rng.choice((-1, 1)) for r in rows if rng.random() < 0.6}
+                 for _ in range(rng.randrange(1, 4))]
+        columns = []
+        for _ in range(rng.randrange(3, 7)):
+            col = dict.fromkeys(rows, 0)
+            for b in basis:
+                f = rng.choice((-1, 0, 1))
+                for r, c in b.items():
+                    col[r] += f * c
+            columns.append({r: c for r, c in col.items() if c})
+        cuts = list(range(len(columns)))
+        signs = outcome(solve, cuts, columns)
+        assert signs == outcome(dense_solve_signs, cuts, columns, rows), columns
+        solved += signs is not None
+    assert solved > 50
+
+
+# -- d(d(c)) is recomputed, not trusted ---------------------------------------
+
+@pytest.mark.parametrize("field, text", [
+    (QQ, "2*x|x|x|x"), (PrimeField(3), "2*x|x|x|x"), (PrimeField(2), None)])
+def test_a_wrong_sign_is_reported(monkeypatch, field, text):
+    solve = chains_module._solve_signs
+
+    def flip_second(cuts, columns):
+        signs = solve(cuts, columns)
+        assert len(cuts) >= 2
+        return signs[:1] + [-signs[1]] + signs[2:]
+
+    monkeypatch.setattr(chains_module, "_solve_signs", flip_second)
+    system = System.from_strings(X, [("x^3", "0")], field)
+    report = verify_d_squared(system, 2, 4)
+    x4 = Chain("\x00" * 4, 2, "\x00")
+    assert report.checked[-1] == x4
+    if text is None:
+        # over F2, -1 = 1: the flipped sign is the same differential
+        assert report.ok
+    else:
+        (chain, d2), = report.violations
+        assert chain == x4 and d2
+        assert print_chain_poly(d2, X) == text

@@ -316,6 +316,24 @@ def test_large_prime_moduli(tmp_path, capsys):
         assert err.startswith("error: modulus")
 
 
+def test_word_length_is_capped(tmp_path, capsys):
+    # one letter past MAX_WORD_LENGTH = 1000, counting exponents
+    doc = dict(XCUBED_DOC, rules=[{"lhs": "x^1001", "rhs": "0"}])
+    code, out, err = run(capsys, "certify", write_doc(tmp_path, doc))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "exponent 1001 at position 2 is more than MAX_WORD_LENGTH = 1000" in err
+    doc = dict(XCUBED_DOC, rules=[{"lhs": "x^3", "rhs": "y^500*z^501"}])
+    code, out, err = run(capsys, "certify", write_doc(tmp_path, doc, "rhs.json"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "1001 letters" in err
+    path = write_doc(tmp_path, XCUBED_DOC, "ok.json")
+    code, out, err = run(capsys, "nf", path, "--expr", "y - 2*x^2*y^999")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "monomial at position 6 has 1001 letters" in err
+    code, out, _ = run(capsys, "nf", path, "--expr", "y^1000")
+    assert (code, out) == (EXIT_OK, "y^1000\n")
+
+
 def test_chains_refuse_nonminimal_system(tmp_path, capsys):
     doc = {"field": "Q", "generators": ["x"],
            "rules": [{"lhs": "x^2", "rhs": "0"}, {"lhs": "x^3", "rhs": "0"}]}

@@ -9,8 +9,7 @@ import pytest
 from ncrewrite import (
     QQ, Occurrence, ParseError, Poly, PrimeField, RationalField,
     count_occurrences, iter_words, occurrences, parse_poly, parse_word,
-    poly_add, poly_mul_sandwich, poly_scale, print_poly, print_word,
-    word_from_indices, word_indices,
+    print_poly, print_word, word_indices,
 )
 
 NAMES = ("x", "y", "z")
@@ -101,7 +100,7 @@ def test_word_indices_round_trip():
     rng = random.Random(2)
     for _ in range(100):
         w = random_word(rng, 3, 6)
-        assert word_from_indices(word_indices(w)) == w
+        assert "".join(map(chr, word_indices(w))) == w
 
 
 def sliding_window(pattern, host):
@@ -145,12 +144,11 @@ def test_poly_module_axioms():
             p = random_poly(rng, field)
             q = random_poly(rng, field)
             r = random_poly(rng, field)
-            assert poly_add(p, q) == poly_add(q, p)
-            assert poly_add(poly_add(p, q), r) == poly_add(p, poly_add(q, r))
-            assert poly_add(p, Poly.zero(field)) == p
+            assert p + q == q + p
+            assert (p + q) + r == p + (q + r)
+            assert p + Poly.zero(field) == p
             c = field.from_fraction(Fraction(rng.randrange(-2, 3)))
-            assert (poly_scale(c, poly_add(p, q))
-                    == poly_add(poly_scale(c, p), poly_scale(c, q)))
+            assert (p + q).scale(c) == p.scale(c) + q.scale(c)
 
 
 def test_sandwich_is_linear_and_concatenates():
@@ -159,16 +157,16 @@ def test_sandwich_is_linear_and_concatenates():
         p = random_poly(rng, QQ)
         q = random_poly(rng, QQ)
         a, b = random_word(rng, 2, 3), random_word(rng, 2, 3)
-        left = poly_mul_sandwich(a, poly_add(p, q), b)
-        right = poly_add(poly_mul_sandwich(a, p, b), poly_mul_sandwich(a, q, b))
+        left = (p + q).sandwich(a, b)
+        right = p.sandwich(a, b) + q.sandwich(a, b)
         assert left == right
-        for w, c in poly_mul_sandwich(a, p, b).terms.items():
+        for w, c in p.sandwich(a, b).terms.items():
             assert w.startswith(a) and w.endswith(b or "")
 
 
 def test_sandwich_example():
     p = parse_poly("x*y - y*x", NAMES, QQ)
-    q = poly_mul_sandwich("\x00", p, "\x01")
+    q = p.sandwich("\x00", "\x01")
     assert print_poly(q, NAMES) == "-x*y*x*y + x^2*y^2"
 
 
