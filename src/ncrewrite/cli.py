@@ -272,12 +272,15 @@ def cmd_nf(args):
     except ParseError as e:
         raise DocumentError(str(e))
     result, trace = normal_form(system, g, cert, args.fuse)
+    occs = [s.occurrence for s in trace.steps]
+    printed = {w: print_word(w, names)      # each distinct prefix and suffix once
+               for w in {o.prefix for o in occs} | {o.suffix for o in occs}}
     payload = {"input": print_poly(g, names),
                "normal_form": print_poly(result, names),
                "steps": len(trace),
                "trace": [{"rule": s.rule_index,
-                          "prefix": print_word(s.occurrence.prefix, names),
-                          "suffix": print_word(s.occurrence.suffix, names),
+                          "prefix": printed[s.occurrence.prefix],
+                          "suffix": printed[s.occurrence.suffix],
                           "coefficient": system.field.format_coeff(s.coefficient)}
                          for s in trace.steps]}
     _print(payload, [payload["normal_form"]], args.json)

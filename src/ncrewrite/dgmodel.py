@@ -23,7 +23,8 @@ and inclusion ambiguities, and :func:`ie_degree2_census` enumerates them
 for cross-checking against the string-matching census.
 
 Ranks come from sparse echelon reduction with exact field arithmetic
-(Fraction over Q, residues over F_p), pivoting on the largest index.
+(ints and Fractions over Q, residues over F_p), pivoting on the largest
+index.
 """
 
 from dataclasses import dataclass

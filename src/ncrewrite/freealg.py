@@ -9,15 +9,15 @@ parse/print boundary.
 
 A *polynomial* (:class:`Poly`) is a finite map from words to nonzero
 coefficients of a fixed coefficient field, either the rationals
-(:data:`QQ`, coefficients are ``Fraction``) or a prime field
-(:class:`PrimeField`, coefficients are ints in ``range(p)``).  The empty
-word is a legal monomial and plays the role of the algebra unit, so
-constant terms are fine.  Zero coefficients are never stored; two equal
-polynomials always hold identical term maps.
+(:data:`QQ`, coefficients are ``int`` when integral, otherwise
+``Fraction``) or a prime field (:class:`PrimeField`, coefficients are
+ints in ``range(p)``).  The empty word is a legal monomial and plays the
+role of the algebra unit, so constant terms are fine.  Zero coefficients
+are never stored; two equal polynomials always hold identical term maps.
 
 >>> p = parse_poly("x*y - y*x", ["x", "y"], QQ)
 >>> print_poly(p + p, ["x", "y"])
-'2*x*y - 2*y*x'
+'-2*y*x + 2*x*y'
 >>> parse_poly("2*x - 2*x", ["x"], QQ).is_zero()
 True
 """
@@ -42,11 +42,13 @@ class ParseError(ValueError):
 # coefficient fields
 
 class RationalField:
-    """The rationals.  Coefficients are ``fractions.Fraction`` values."""
+    """The rationals.  Coefficients are ``int`` when integral, otherwise
+    ``fractions.Fraction``; the two mix exactly, and equal values compare
+    and hash equal and print alike."""
 
     __slots__ = ()
     name = "Q"
-    zero = Fraction(0)
+    zero = 0
     one = Fraction(1)
 
     def add(self, a, b):
@@ -67,7 +69,10 @@ class RationalField:
         return 1 / Fraction(a)
 
     def from_fraction(self, q):
-        return Fraction(q)
+        if type(q) is int:
+            return q
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
     def format_coeff(self, a):
         return str(a)
@@ -169,6 +174,8 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def from_fraction(self, q):
+        if type(q) is int:
+            return q % self.p
         q = Fraction(q)
         if q.denominator % self.p == 0:
             raise ParseError(
@@ -373,8 +380,9 @@ class Poly:
 
     def sorted_terms(self):
         """Term list in display order (largest first)."""
-        return sorted(self.terms.items(),
-                      key=lambda wc: print_order_key(wc[0]), reverse=True)
+        # by print_order_key: a stable sort by length after a sort by word
+        words = sorted(sorted(self.terms, reverse=True), key=len, reverse=True)
+        return [(w, self.terms[w]) for w in words]
 
     def __repr__(self):
         body = ", ".join(f"{w!r}: {c}" for w, c in self.sorted_terms())
@@ -392,120 +400,111 @@ class Poly:
 #
 # A bare coeff term is a constant (coefficient times the empty word).
 
-_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^]|\S")
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_OPS = frozenset("+-*/^")
+_SIGNS = ("+", "-")
 
 
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r} at position {m.start()}")
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    return tokens
-
-
-class _Parser:
-    __slots__ = ("tokens", "pos", "index_of", "field")
-
-    def __init__(self, text, names, field):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.index_of = {name: i for i, name in enumerate(names)}
-        self.field = field
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if tok[0] is None or (kind is not None and tok[0] != kind):
-            raise ParseError(f"expected {kind or 'token'}, got {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        pairs = []
-        sign = 1
-        if self.peek()[:2] in (("op", "+"), ("op", "-")):
-            sign = -1 if self.take()[1] == "-" else 1
-        pairs.append(self.term(sign))
-        while self.pos < len(self.tokens):
-            kind, val, at = self.take("op")
-            if val not in "+-":
-                raise ParseError(f"expected '+' or '-' at position {at}, got {val!r}")
-            pairs.append(self.term(-1 if val == "-" else 1))
-        zero = self.field.zero
-        out = {}
-        for w, c in pairs:
-            s = self.field.add(out.get(w, zero), c)
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return Poly._raw(self.field, out)
-
-    def term(self, sign):
-        coeff = None
-        if self.peek()[0] == "int":
-            coeff = self.number()
-            if self.peek()[:2] == ("op", "*"):
-                self.take()
-            else:
-                # bare constant term
-                return "", self.field.from_fraction(sign * coeff)
-        start = self.pos
-        word = [self.factor()]
-        while self.peek()[:2] == ("op", "*"):
-            self.take()
-            word.append(self.factor())
-        word = "".join(word)
-        if len(word) > MAX_WORD_LENGTH:
-            raise ParseError(f"monomial at position {self.tokens[start][2]} has "
-                             f"{len(word)} letters, more than MAX_WORD_LENGTH = "
-                             f"{MAX_WORD_LENGTH}")
-        q = Fraction(sign) if coeff is None else sign * coeff
-        return word, self.field.from_fraction(q)
-
-    def number(self):
-        num = int(self.take("int")[1])
-        if self.peek()[:2] == ("op", "/"):
-            self.take()
-            den = int(self.take("int")[1])
-            if den == 0:
-                raise ParseError("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def factor(self):
-        kind, name, at = self.take()
-        if kind != "name":
-            raise ParseError(f"expected generator name at position {at}, got {name!r}")
-        if name not in self.index_of:
-            raise ParseError(f"unknown generator {name!r}")
-        letter = chr(self.index_of[name])
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            exp_tok = self.take("int")
-            exp = int(exp_tok[1])
-            if exp < 1:
-                raise ParseError(f"exponent must be a positive integer, got {exp}")
-            if exp > MAX_WORD_LENGTH:
-                raise ParseError(f"exponent {exp} at position {exp_tok[2]} is more "
-                                 f"than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
-            return letter * exp
-        return letter
+def _position(text, i):
+    # character offset of token i; only error messages need it
+    return [m.start() for m in _TOKEN_RE.finditer(text)][i]
 
 
 def parse_poly(text, names, field):
     """Parse polynomial text over the given generator names and field.
+
+    A refusal names the first offending token, but an unexpected
+    character anywhere is reported before any other mistake.
 
     >>> parse_poly("x^3 + 1/2*y", ["x", "y"], QQ).coeff(chr(1))
     Fraction(1, 2)
     """
     if not text.strip():
         raise ParseError("empty input")
-    return _Parser(text, names, field).parse()
+    tokens = _TOKEN_RE.findall(text)
+    try:
+        return _parse_tokens(text, tokens + [None, None], names, field)
+    except ValueError:
+        for i, tok in enumerate(tokens):
+            if not (tok.isdecimal() or tok in _OPS or NAME_RE.match(tok)):
+                raise ParseError(f"unexpected character {tok!r} at position "
+                                 f"{_position(text, i)}") from None
+        raise
+
+
+def _int_at(tokens, i):
+    if tokens[i] is None or not tokens[i].isdecimal():
+        raise ParseError(f"expected int, got {tokens[i]!r}")
+    return int(tokens[i])
+
+
+def _parse_tokens(text, tokens, names, field):
+    # tokens ends in two Nones, so looking one or two tokens ahead is safe
+    letter_of = {n: chr(i) for i, n in enumerate(names) if NAME_RE.match(n)}
+    from_fraction, add = field.from_fraction, field.add
+    out = {}
+    i, sign = (1, -1 if tokens[0] == "-" else 1) if tokens[0] in _SIGNS else (0, 1)
+    while True:
+        q, word, tok = sign, None, tokens[i]
+        if tok is not None and tok.isdecimal():
+            q *= int(tok)
+            if tokens[i + 1] == "/":
+                den = _int_at(tokens, i + 2)
+                if not den:
+                    raise ParseError("zero denominator")
+                q, i = Fraction(q, den), i + 2
+            i += 1
+            if tokens[i] == "*":
+                i += 1
+            else:
+                word = ""           # a bare constant
+        if word is None:
+            start, letters = i, []
+            while True:
+                tok = tokens[i]
+                letter = letter_of.get(tok)
+                if letter is None:
+                    if tok is None:
+                        raise ParseError("expected token, got None")
+                    if NAME_RE.match(tok):
+                        raise ParseError(f"unknown generator {tok!r}")
+                    raise ParseError(f"expected generator name at position "
+                                     f"{_position(text, i)}, got {tok!r}")
+                if tokens[i + 1] == "^":
+                    k = _int_at(tokens, i + 2)
+                    if k < 1:
+                        raise ParseError(f"exponent must be a positive integer, got {k}")
+                    if k > MAX_WORD_LENGTH:
+                        raise ParseError(f"exponent {k} at position {_position(text, i + 2)} "
+                                         f"is more than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
+                    letter, i = letter * k, i + 2
+                letters.append(letter)
+                i += 1
+                if tokens[i] != "*":
+                    break
+                i += 1
+            word = "".join(letters)
+            if len(word) > MAX_WORD_LENGTH:
+                raise ParseError(f"monomial at position {_position(text, start)} has "
+                                 f"{len(word)} letters, more than MAX_WORD_LENGTH = "
+                                 f"{MAX_WORD_LENGTH}")
+        c = from_fraction(q)
+        s = c if word not in out else add(out[word], c)
+        if s:
+            out[word] = s
+        elif word in out:
+            del out[word]
+        tok = tokens[i]
+        if tok is None:
+            return Poly._raw(field, out)
+        if tok not in _SIGNS:
+            if tok in _OPS:
+                raise ParseError(f"expected '+' or '-' at position "
+                                 f"{_position(text, i)}, got {tok!r}")
+            raise ParseError(f"expected op, got {tok!r}")
+        sign = -1 if tok == "-" else 1
+        i += 1
 
 
 def parse_word(text, names):
@@ -524,16 +523,16 @@ def print_word(word, names):
     if not word:
         return "1"
     parts = []
-    run, count = word[0], 1
-    for a in word[1:]:
-        if a == run:
-            count += 1
-        else:
-            parts.append((run, count))
-            run, count = a, 1
-    parts.append((run, count))
-    return "*".join(
-        names[ord(a)] if k == 1 else f"{names[ord(a)]}^{k}" for a, k in parts)
+    i, n = 0, len(word)
+    while i < n:
+        a = word[i]
+        j = i + 1
+        while j < n and word[j] == a:
+            j += 1
+        name = names[ord(a)]
+        parts.append(name if j == i + 1 else f"{name}^{j - i}")
+        i = j
+    return "*".join(parts)
 
 
 def print_poly(poly, names):
@@ -556,18 +555,14 @@ def print_terms(field, items, print_monomial):
     rational = isinstance(field, RationalField)
     pieces = []
     for m, c in items:
-        if rational and c < 0:
-            negative, mag = True, -c
-        else:
-            negative, mag = False, c
+        negative = rational and c < 0
+        mag = -c if negative else c
         if not m:
             body = field.format_coeff(mag)
         elif mag == field.one:
             body = print_monomial(m)
         else:
             body = field.format_coeff(mag) + "*" + print_monomial(m)
-        if not pieces:
-            pieces.append("-" + body if negative else body)
-        else:
-            pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+        pieces.append((" - " if negative else " + ") + body)
+    text = "".join(pieces)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]

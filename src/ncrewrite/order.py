@@ -72,7 +72,7 @@ class DeglexOrder:
     and breaks weight ties lexicographically.
     """
 
-    __slots__ = ("weights", "precedence", "rank")
+    __slots__ = ("weights", "precedence", "_unit", "_ranks")
 
     def __init__(self, n_generators, weights=None, precedence=None):
         if weights is None:
@@ -89,18 +89,18 @@ class DeglexOrder:
             raise ValueError(f"precedence must be a permutation of 0..{n_generators - 1}")
         self.weights = weights
         self.precedence = precedence
-        rank = [0] * n_generators
-        for pos, i in enumerate(precedence):
-            rank[i] = pos
-        self.rank = tuple(rank)
+        self._unit = all(w == 1 for w in weights)
+        self._ranks = {i: chr(pos) for pos, i in enumerate(precedence)}
 
     def weight(self, word):
         weights = self.weights
         return sum(weights[ord(a)] for a in word)
 
     def sort_key(self, word):
-        rank = self.rank
-        return (self.weight(word), tuple(rank[ord(a)] for a in word))
+        """``(weight, word with letter i replaced by chr(rank of i))``; the
+        word compares as the tuple of its letters' ranks would."""
+        return (len(word) if self._unit else self.weight(word),
+                word.translate(self._ranks))
 
     def compare(self, u, v):
         """-1, 0 or 1 as u <, = or > v.  Equality only for identical words."""

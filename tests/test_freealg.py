@@ -1,6 +1,7 @@
 """Words, coefficients, polynomials, parsing: the ground layer."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ncrewrite import (
     count_occurrences, iter_words, occurrences, parse_poly, parse_word,
     print_poly, print_word, word_indices,
 )
+from ncrewrite.freealg import MAX_WORD_LENGTH
 
 NAMES = ("x", "y", "z")
 
@@ -203,3 +205,213 @@ def test_parse_mod_two_folds_coefficients():
     f2 = PrimeField(2)
     assert parse_poly("x + x", ("x",), f2).is_zero()
     assert print_poly(parse_poly("3*x", ("x",), f2), ("x",)) == "x"
+
+
+# -- the parser against the two-pass reference -------------------------------
+#
+# The token-object parser that parse_poly replaced, kept as the reference
+# for values and for the exact text of every refusal.
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
+
+
+def reference_tokenize(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} at position {m.start()}")
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, text, names, field):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.index_of = {name: i for i, name in enumerate(names)}
+        self.field = field
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
+
+    def take(self, kind=None):
+        tok = self.peek()
+        if tok[0] is None or (kind is not None and tok[0] != kind):
+            raise ParseError(f"expected {kind or 'token'}, got {tok[1]!r}")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        pairs = []
+        sign = 1
+        if self.peek()[:2] in (("op", "+"), ("op", "-")):
+            sign = -1 if self.take()[1] == "-" else 1
+        pairs.append(self.term(sign))
+        while self.pos < len(self.tokens):
+            kind, val, at = self.take("op")
+            if val not in "+-":
+                raise ParseError(f"expected '+' or '-' at position {at}, got {val!r}")
+            pairs.append(self.term(-1 if val == "-" else 1))
+        out = {}
+        for w, c in pairs:
+            s = self.field.add(out.get(w, self.field.zero), c)
+            if s:
+                out[w] = s
+            elif w in out:
+                del out[w]
+        return Poly(self.field, out)
+
+    def term(self, sign):
+        coeff = None
+        if self.peek()[0] == "int":
+            coeff = self.number()
+            if self.peek()[:2] == ("op", "*"):
+                self.take()
+            else:
+                return "", self.field.from_fraction(sign * coeff)
+        start = self.pos
+        word = [self.factor()]
+        while self.peek()[:2] == ("op", "*"):
+            self.take()
+            word.append(self.factor())
+        word = "".join(word)
+        if len(word) > MAX_WORD_LENGTH:
+            raise ParseError(f"monomial at position {self.tokens[start][2]} has "
+                             f"{len(word)} letters, more than MAX_WORD_LENGTH = "
+                             f"{MAX_WORD_LENGTH}")
+        q = Fraction(sign) if coeff is None else sign * coeff
+        return word, self.field.from_fraction(q)
+
+    def number(self):
+        num = int(self.take("int")[1])
+        if self.peek()[:2] == ("op", "/"):
+            self.take()
+            den = int(self.take("int")[1])
+            if den == 0:
+                raise ParseError("zero denominator")
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def factor(self):
+        kind, name, at = self.take()
+        if kind != "name":
+            raise ParseError(f"expected generator name at position {at}, got {name!r}")
+        if name not in self.index_of:
+            raise ParseError(f"unknown generator {name!r}")
+        letter = chr(self.index_of[name])
+        if self.peek()[:2] == ("op", "^"):
+            self.take()
+            exp_tok = self.take("int")
+            exp = int(exp_tok[1])
+            if exp < 1:
+                raise ParseError(f"exponent must be a positive integer, got {exp}")
+            if exp > MAX_WORD_LENGTH:
+                raise ParseError(f"exponent {exp} at position {exp_tok[2]} is more "
+                                 f"than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}")
+            return letter * exp
+        return letter
+
+
+def reference_parse_poly(text, names, field):
+    if not text.strip():
+        raise ParseError("empty input")
+    return ReferenceParser(text, names, field).parse()
+
+
+def random_poly_text(rng, names):
+    """Valid text: spacing, leading signs, a/b and bare constants, powers,
+    and monomials that repeat, some of them cancelling."""
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    def coeff():
+        num = rng.choice([0, 1, 2, 3, 7, 10, 101, 202, 12345678901234567890])
+        return str(num) if rng.random() < 0.6 else f"{num}/{rng.choice([1, 2, 3, 101, 4])}"
+
+    def monomial():
+        return (space() + "*" + space()).join(
+            rng.choice(names) + (f"^{rng.randint(1, 4)}" if rng.random() < 0.3 else "")
+            for _ in range(rng.randint(1, 4)))
+
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            terms.append(coeff())
+        elif kind == 1:
+            terms.append(coeff() + space() + "*" + space() + monomial())
+        else:
+            terms.append(monomial())
+        if rng.random() < 0.25:
+            terms.append(terms[-1])             # repeat it; the sign decides
+    text = space() + rng.choice(["", "", "-", "+"]) + space() + terms[0]
+    for t in terms[1:]:
+        text += space() + rng.choice("+-") + space() + t
+    return text + space()
+
+
+MALFORMED = ["é", "x +", "+", "-", "w", "x^0", "x^y", "2x", "x*/y", "x^-1", "(x",
+             "1/0*x", "3/", "3/x", "x^2^3", "x**y", "2/3/4", "x y", "--x", "1 2",
+             f"x^{MAX_WORD_LENGTH + 1}", "*".join(["y"] * (MAX_WORD_LENGTH + 1)),
+             "x^600*y^401", "", "   ", "1/101*x", "1/2*w", "1/2*x + é"]
+
+
+def corrupt(rng, text):
+    bad = rng.choice(MALFORMED)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return bad
+    if kind == 1:
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + bad + text[i:]
+    if kind == 2:
+        return text[:rng.randrange(len(text) + 1)]
+    return text + rng.choice(["", " + ", " - ", " * ", "^", "/"]) + bad
+
+
+def outcome(parse, text, names, field):
+    try:
+        return parse(text, names, field)
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)],
+                         ids=["Q", "F2", "F101"])
+def test_parser_matches_the_reference(field):
+    rng = random.Random(f"parser:{field.name}")
+    refused = 0
+    for names in (NAMES, ("x", "y_2", "1"), ("a",)):
+        for _ in range(400):
+            text = random_poly_text(rng, [n for n in names if n != "1"])
+            want = outcome(reference_parse_poly, text, names, field)
+            assert outcome(parse_poly, text, names, field) == want, text
+            bad = corrupt(rng, text)
+            want = outcome(reference_parse_poly, bad, names, field)
+            refused += isinstance(want, str)
+            assert outcome(parse_poly, bad, names, field) == want, bad
+    assert refused > 600
+    for bad in MALFORMED:
+        assert (outcome(parse_poly, bad, NAMES, field)
+                == outcome(reference_parse_poly, bad, NAMES, field)), bad
+
+
+def test_integral_rationals_are_ints():
+    p = parse_poly("2*x - 4/2*y + 3 + 1/2*z + x*y", NAMES, QQ)
+    by_word = {print_word(w, NAMES): c for w, c in p.terms.items()}
+    assert {k: type(c) for k, c in by_word.items()} == {
+        "x": int, "y": int, "1": int, "z": Fraction, "x*y": int}
+    assert by_word["z"] == Fraction(1, 2) and by_word["y"] == -2
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.from_fraction(Fraction(6, 3)) == 2
+    assert type(QQ.from_fraction(Fraction(6, 3))) is int
+    rng = random.Random(7)
+    for _ in range(200):
+        p = parse_poly(random_poly_text(rng, list(NAMES)), NAMES, QQ)
+        for c in p.terms.values():
+            assert type(c) in (int, Fraction)
+        assert parse_poly(print_poly(p, NAMES), NAMES, QQ) == p
+        as_fractions = Poly(QQ, {w: Fraction(c) for w, c in p.terms.items()})
+        assert as_fractions == p and hash(as_fractions) == hash(p)
+        assert print_poly(as_fractions, NAMES) == print_poly(p, NAMES)

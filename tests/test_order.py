@@ -59,6 +59,24 @@ def test_deglex_is_a_total_order():
             assert order.compare(a, b) == -1 or a == b
 
 
+def test_deglex_key_sorts_as_the_rank_tuple_key():
+    rng = random.Random(11)
+    for trial in range(60):
+        ngen = rng.choice([1, 2, 3, 4])
+        order = random_order(rng, ngen) if trial % 3 else DeglexOrder(ngen)
+        weights, rank = order.weights, [order.precedence.index(i) for i in range(ngen)]
+
+        def tuple_key(w):
+            return (sum(weights[ord(a)] for a in w), tuple(rank[ord(a)] for a in w))
+
+        words = list({random_word(rng, ngen, 7) for _ in range(80)})
+        rng.shuffle(words)
+        assert sorted(words, key=order.sort_key) == sorted(words, key=tuple_key)
+        for u, v in zip(words, words[1:]):
+            assert ((order.sort_key(u) < order.sort_key(v))
+                    == (tuple_key(u) < tuple_key(v)))
+
+
 def test_deglex_respects_concatenation():
     rng = random.Random(11)
     for _ in range(200):
